@@ -23,6 +23,9 @@ object MupIdentificationJob {
     val tauRate  = opts.getOrElse("tauRate", "0.001").toDouble
     val algoName = opts.getOrElse("algo", "deepdiver")
     val maxLvl   = opts.getOrElse("maxLevel", "0").toInt
+    val algos    = Seq("deepdiver" -> DeepDiver, "breaker" -> PatternBreaker, "combiner" -> PatternCombiner)
+    val algo: MupAlgorithm = algos.toMap.getOrElse(algoName, throw new IllegalArgumentException(
+      s"unknown algo=$algoName; valid names: ${algos.map(_._1).mkString(", ")}"))
 
     JobEnv.withSpark("mup-identification") { spark =>
       val (df, attrs, cards) = dataset match {
@@ -31,13 +34,8 @@ object MupIdentificationJob {
         case "compas"   => (CoverageData.compas(spark), CoverageData.compasAttrs, CoverageData.compasCards)
         case other      => sys.error(s"unknown dataset $other")
       }
-      val algo: MupAlgorithm = algoName match {
-        case "breaker"  => PatternBreaker
-        case "combiner" => PatternCombiner
-        case _          => DeepDiver
-      }
-      val tau  = math.max(1L, (tauRate * n).toLong)
       val data = SparkCoverage.collectCompressed(df, attrs, cards)
+      val tau  = math.max(1L, (tauRate * data.total).toLong)
       val t0   = System.nanoTime()
       val res  = algo.findMups(data, tau, if (maxLvl <= 0) Int.MaxValue else maxLvl)
       val secs = (System.nanoTime() - t0) / 1e9

@@ -20,9 +20,13 @@ import scala.collection.mutable.ArrayBuffer
 final class MupDominanceIndex(cards: IndexedSeq[Int]) {
   private val dim = cards.length
 
-  /** vec(i)(v) for v in 0..c_i-1; vec(i)(c_i) is the `X` slot. */
-  private val vec: Array[Array[ArrayBuffer[Long]]] =
-    Array.tabulate(dim)(i => Array.fill(cards(i) + 1)(ArrayBuffer.empty[Long]))
+  /** vec(i)(v) for v in 0..c_i-1; vec(i)(c_i) is the `X` slot. Every vector,
+    * and the scratch `acc` the checks AND into, is `acc.length` words long;
+    * [[add]] doubles them all together when the MUPs outgrow them.
+    */
+  private val vec: Array[Array[Array[Long]]] =
+    Array.tabulate(dim)(i => Array.fill(cards(i) + 1)(new Array[Long](1)))
+  private var acc = new Array[Long](1)
 
   private val mupList = ArrayBuffer.empty[Pattern]
 
@@ -38,104 +42,93 @@ final class MupDominanceIndex(cards: IndexedSeq[Int]) {
   def add(p: Pattern): Unit = {
     val idx  = mupList.size
     val word = idx >>> 6
-    val bit  = 1L << (idx & 63)
+    if (word == acc.length) {
+      acc = new Array[Long](2 * word)
+      for (bufs <- vec; s <- bufs.indices) bufs(s) = java.util.Arrays.copyOf(bufs(s), acc.length)
+    }
     mupList += p
     var i = 0
     while (i < dim) {
       val slot = if (p.elems(i) == Pattern.X) cards(i) else p.elems(i)
-      val bufs = vec(i)
-      var s = 0
-      while (s < bufs.length) {
-        val b = bufs(s)
-        while (b.length <= word) b += 0L
-        if (s == slot) b(word) |= bit
-        s += 1
-      }
+      vec(i)(slot)(word) |= 1L << (idx & 63)
       i += 1
     }
   }
 
-  private def words: Int = (mupList.size + 63) >>> 6
+  /** Set one bit per indexed MUP in the first n = ⌈size/64⌉ words of `acc`; returns n. */
+  private def resetAcc(): Int = {
+    val n = (mupList.size + 63) >>> 6
+    java.util.Arrays.fill(acc, 0, n, -1L)
+    val extra = (n << 6) - mupList.size
+    if (extra > 0) acc(n - 1) &= -1L >>> extra
+    n
+  }
 
   /** True iff some indexed MUP is *strictly* dominated by `p`
     * (i.e. p generalizes it and is not equal to it).
     */
   def dominatesSome(p: Pattern): Boolean = {
-    if (mupList.isEmpty) return false
-    val n = words
-    val acc = Array.fill(n)(-1L)
-    maskTail(acc)
+    val n = resetAcc()
     var i = 0
     while (i < dim) {
       val e = p.elems(i)
       if (e != Pattern.X) {
         // a dominated m must have exactly value e at i (an X there would make
         // m strictly more general at i, so p could not generalize it)
-        if (!andOne(acc, vec(i)(e), n)) return false
+        if (!andOne(vec(i)(e), n)) return false
       }
       i += 1
     }
     // acc marks MUPs generalized by p; exclude p itself (equal pattern).
-    anySetExcluding(acc, p)
+    anySetExcluding(p, n)
   }
 
   /** True iff some indexed MUP *strictly* dominates `p`. */
   def dominatedBySome(p: Pattern): Boolean = {
-    if (mupList.isEmpty) return false
-    val n = words
-    val acc = Array.fill(n)(-1L)
-    maskTail(acc)
+    val n = resetAcc()
     var i = 0
     while (i < dim) {
       val e = p.elems(i)
       if (e == Pattern.X) {
         // a dominating m must have X at i
-        if (!andOne(acc, vec(i)(cards(i)), n)) return false
+        if (!andOne(vec(i)(cards(i)), n)) return false
       } else {
         // m may have X or the same value at i
-        if (!andOr(acc, vec(i)(e), vec(i)(cards(i)), n)) return false
+        if (!andOr(vec(i)(e), vec(i)(cards(i)), n)) return false
       }
       i += 1
     }
-    anySetExcluding(acc, p)
+    anySetExcluding(p, n)
   }
 
-  private def maskTail(acc: Array[Long]): Unit = {
-    val extra = (acc.length << 6) - mupList.size
-    if (acc.nonEmpty && extra > 0) acc(acc.length - 1) &= -1L >>> extra
-  }
-
-  /** acc &= a; returns whether any bit survives. */
-  private def andOne(acc: Array[Long], a: ArrayBuffer[Long], n: Int): Boolean = {
-    var any = false
+  /** acc &= a over the first n words; returns whether any bit survives. */
+  private def andOne(a: Array[Long], n: Int): Boolean = {
+    var any = 0L
     var w = 0
     while (w < n) {
-      val aw = if (w < a.length) a(w) else 0L
-      acc(w) &= aw
-      if (acc(w) != 0L) any = true
+      acc(w) &= a(w)
+      any |= acc(w)
       w += 1
     }
-    any
+    any != 0L
   }
 
-  /** acc &= (a | b); returns whether any bit survives. */
-  private def andOr(acc: Array[Long], a: ArrayBuffer[Long], b: ArrayBuffer[Long], n: Int): Boolean = {
-    var any = false
+  /** acc &= (a | b) over the first n words; returns whether any bit survives. */
+  private def andOr(a: Array[Long], b: Array[Long], n: Int): Boolean = {
+    var any = 0L
     var w = 0
     while (w < n) {
-      val aw = if (w < a.length) a(w) else 0L
-      val bw = if (w < b.length) b(w) else 0L
-      acc(w) &= (aw | bw)
-      if (acc(w) != 0L) any = true
+      acc(w) &= (a(w) | b(w))
+      any |= acc(w)
       w += 1
     }
-    any
+    any != 0L
   }
 
-  /** Any bit set in acc whose MUP differs from `p`? */
-  private def anySetExcluding(acc: Array[Long], p: Pattern): Boolean = {
+  /** Any bit set in the first n words of acc whose MUP differs from `p`? */
+  private def anySetExcluding(p: Pattern, n: Int): Boolean = {
     var w = 0
-    while (w < acc.length) {
+    while (w < n) {
       var word = acc(w)
       while (word != 0L) {
         val t   = java.lang.Long.numberOfTrailingZeros(word)

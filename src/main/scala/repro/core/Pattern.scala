@@ -130,16 +130,17 @@ object Pattern {
   /** The root pattern `XX…X` (level 0). */
   def root(d: Int): Pattern = Pattern(Vector.fill(d)(X))
 
-  /** Parse the compact string form, e.g. `"X1X0"`. Only single-digit values
-    * are supported by the textual form (enough for every dataset here, whose
-    * max cardinality is 10 → values 0..9).
+  /** Parse the compact string form that `toString` renders, e.g. `"X1X0"`
+    * or `"X(10)0"` for a value >= 10.
     */
-  def parse(s: String): Pattern =
-    Pattern(s.iterator.map {
-      case 'X' | 'x' => X
-      case c if c.isDigit => c - '0'
-      case c => throw new IllegalArgumentException(s"bad pattern char '$c' in $s")
-    }.toVector)
+  def parse(s: String): Pattern = {
+    val tokens = Token.findAllIn(s).toVector
+    if (tokens.map(_.length).sum != s.length)
+      throw new IllegalArgumentException(s"bad pattern '$s'")
+    Pattern(tokens.map(t => if (t.equalsIgnoreCase("X")) X else t.filter(_.isDigit).toInt))
+  }
+
+  private val Token = """[Xx]|[0-9]|\([1-9][0-9]+\)""".r
 
   /** Build from a fully-specified tuple (every element deterministic). */
   def fromTuple(t: IndexedSeq[Int]): Pattern = Pattern(t.toVector)

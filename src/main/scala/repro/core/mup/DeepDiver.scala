@@ -12,6 +12,12 @@ import scala.collection.mutable
   * checked via the incremental inverted indices of Appendix B
   * ([[MupDominanceIndex]]).
   *
+  * Every coverage computation goes through one exact `Pattern → cov` memo
+  * scoped to the call, so each distinct pattern is covered once. Climbs from
+  * neighbouring uncovered nodes share most of their parents, and those parents
+  * are often covered nodes the dive has already tested; without the memo the
+  * repeated calls made up most of DEEPDIVER's coverage work.
+  *
   * With `maxLevel < d` the dive stops expanding at `maxLevel`, returning
   * exactly the MUPs with ℓ(P) <= maxLevel (paper Fig 16).
   */
@@ -25,6 +31,8 @@ object DeepDiver extends MupAlgorithm {
     val cap   = math.min(d, maxLevel)
     val dom   = new MupDominanceIndex(cards)
     val found = mutable.HashSet.empty[Pattern]
+    val memo  = mutable.HashMap.empty[Pattern, Long]
+    def cov(p: Pattern): Long = memo.getOrElseUpdate(p, index.cov(p))
     var visited = 0L
 
     val stack = mutable.Stack[Pattern](Pattern.root(d))
@@ -37,14 +45,14 @@ object DeepDiver extends MupAlgorithm {
         // Ancestors of MUPs are covered (a MUP's parents are covered and
         // coverage is monotone): expand without computing coverage.
         if (p.level < cap) stack.pushAll(p.childrenRule1(cards))
-      } else if (index.cov(p) >= tau) {
+      } else if (cov(p) >= tau) {
         if (p.level < cap) stack.pushAll(p.childrenRule1(cards))
       } else {
         // Uncovered: climb through uncovered parents to a maximal one.
         var cur = p
         var climbing = true
         while (climbing) {
-          cur.parents.find(q => index.cov(q) < tau) match {
+          cur.parents.find(cov(_) < tau) match {
             case Some(up) => cur = up
             case None     => climbing = false
           }

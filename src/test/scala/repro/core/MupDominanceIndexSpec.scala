@@ -40,12 +40,13 @@ class MupDominanceIndexSpec extends AnyFunSuite {
 
   test("matches brute-force dominance over random MUP sets (crosses the 64-bit word boundary)") {
     val rnd = new Random(4242L)
-    val cards = Vector(2, 3, 2, 2)
+    val cards = Vector(2, 3, 2, 2, 4, 3)
     val all = Pattern.allPatterns(cards).toVector
     val idx = new MupDominanceIndex(cards)
     val added = scala.collection.mutable.ArrayBuffer.empty[Pattern]
-    // add 100 random patterns so the index spans two Long words
-    for (_ <- 0 until 100) {
+    // add 1,200 random patterns so the index spans 19 Long words and grows
+    // its vectors through several capacity doublings
+    for (_ <- 0 until 1200) {
       val p = all(rnd.nextInt(all.size))
       idx.add(p)
       added += p
@@ -58,6 +59,6 @@ class MupDominanceIndexSpec extends AnyFunSuite {
         assert(idx.dominatedBySome(q) == expDominated, s"dominatedBySome($q) after ${added.size}")
       }
     }
-    assert(idx.size == 100)
+    assert(idx.size == 1200)
   }
 }

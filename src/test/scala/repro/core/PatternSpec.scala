@@ -25,7 +25,7 @@ class PatternSpec extends AnyFunSuite {
   // ------------------------------------------------------------ basics
 
   test("parse/format round-trips") {
-    for (s <- Seq("X1X0", "XXX", "0120", "1", "X")) {
+    for (s <- Seq("X1X0", "XXX", "0120", "1", "X", "X(10)9(12)")) {
       assert(Pattern.parse(s).toString == s)
     }
   }

@@ -240,6 +240,21 @@ class MupAlgorithmsSpec extends AnyFunSuite {
     }
   }
 
+  test("DEEPDIVER makes no more coverage calls than PATTERN-BREAKER") {
+    // A sparse sample over BlueNile-like cardinalities: hundreds of MUPs, most
+    // reached by climbing from a dive, whose parents the dive or an earlier
+    // climb has already covered.
+    val rnd   = new Random(2019L)
+    val cards = Vector(6, 4, 5, 4, 3, 3)
+    val rows  = Vector.fill(400)(Vector.tabulate(cards.size)(i => rnd.nextInt(cards(i))))
+    val data  = dataOf(rows, cards)
+    val dd    = DeepDiver.findMups(data, 3)
+    val pb    = PatternBreaker.findMups(data, 3)
+    assert(dd.mups.size > 500)
+    assert(dd.mups == pb.mups)
+    assert(dd.covCalls <= pb.covCalls, s"DeepDiver ${dd.covCalls} vs PatternBreaker ${pb.covCalls}")
+  }
+
   test("MUPs are mutually non-dominating (maximality, any algorithm)") {
     val rnd  = new Random(77L)
     val rows = Vector.fill(25)(Vector.tabulate(4)(i => rnd.nextInt(2)))

@@ -45,6 +45,22 @@ class JobsSpec extends SparkSpec {
     assert(!spark.sparkContext.isStopped)
   }
 
+  test("jobs take τ from the real row count, not the CLI n") {
+    // compas has 6,889 rows whatever n says: τ = 0.001 · 6,889 → 6, not 100.
+    val mup = captureOut(MupIdentificationJob.main(Array("dataset=compas", "n=100000", "tauRate=0.001")))
+    assert(mup.contains("n=6889") && mup.contains("tau=6 "), mup)
+    val enh = captureOut(CoverageEnhancementJob.main(
+      Array("dataset=compas", "n=100000", "tauRate=0.001", "lambda=2")))
+    assert(enh.contains("n=6889") && enh.contains("tau=6 "), enh)
+  }
+
+  test("MupIdentificationJob rejects an unknown algo and lists the valid names") {
+    val e = intercept[IllegalArgumentException] {
+      MupIdentificationJob.main(Array("dataset=airbnb", "n=2000", "d=6", "algo=deepdriver"))
+    }
+    for (name <- Seq("deepdriver", "deepdiver", "breaker", "combiner")) assert(e.getMessage.contains(name))
+  }
+
   test("jobs reject unknown datasets") {
     intercept[RuntimeException] {
       MupIdentificationJob.main(Array("dataset=nope"))
