@@ -17,7 +17,7 @@ import repro.spark.{CoverageData, SparkCoverage}
   */
 object CoverageEnhancementJob {
   def main(args: Array[String]): Unit = {
-    val opts = args.map(_.split("=", 2)).collect { case Array(k, v) => k -> v }.toMap
+    val opts = JobEnv.options(args)
     val dataset = opts.getOrElse("dataset", "airbnb")
     val n       = opts.getOrElse("n", "100000").toLong
     val d       = opts.getOrElse("d", "13").toInt

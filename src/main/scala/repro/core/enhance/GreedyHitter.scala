@@ -9,8 +9,15 @@ import repro.core.Pattern
   * stops when every pattern is hit. `hit-count` walks the value-combination
   * tree (Fig 10) depth-first, carrying the AND of the inverted indices along
   * the path as a bit-vector filter; children are visited in descending order
-  * of their remaining-hit upper bound and a branch is pruned as soon as that
-  * bound cannot beat the best complete combination found so far.
+  * of their remaining-hit upper bound (ties in ascending value order) and a
+  * branch is pruned as soon as that bound cannot beat the best complete
+  * combination found so far.
+  *
+  * The walk allocates nothing per node: it has one open node per depth, so
+  * each depth owns a filter buffer per value plus count and order arrays,
+  * allocated once per index. Once at most half of the indexed patterns are
+  * unhit, GREEDY re-indexes just those, so later ANDs are shorter; a pick
+  * depends on hit counts, never on pattern ids, so no pick changes.
   */
 object GreedyHitter {
 
@@ -24,17 +31,22 @@ object GreedyHitter {
     */
   def run(patterns: IndexedSeq[Pattern], cards: IndexedSeq[Int]): Result = {
     if (patterns.isEmpty) return Result(Vector.empty, 0L)
-    val idx    = new PatternHitIndex(patterns, cards)
-    val filter = idx.fullFilter
+    var idx    = new PatternHitIndex(patterns, cards)
+    var filter = idx.fullFilter
+    var search = new HitCountSearch(idx, cards)
     val out    = Vector.newBuilder[Vector[Int]]
     var explored = 0L
 
     while (idx.popcount(filter) > 0) {
-      val search = new HitCountSearch(idx, cards)
-      val best   = search.best(filter)
+      if (2 * idx.popcount(filter) <= idx.m) {
+        val live = idx.patterns.indices.filter(j => (filter(j >>> 6) >>> (j & 63) & 1L) != 0L)
+        idx = new PatternHitIndex(live.map(idx.patterns), cards)
+        filter = idx.fullFilter
+        search = new HitCountSearch(idx, cards)
+      }
+      val combo = search.best(filter)
       explored += search.nodes
-      require(best.count > 0, "no combination hits any remaining pattern")
-      val combo = best.combo
+      require(search.bestCount > 0, "no combination hits any remaining pattern")
       out += combo
       // Clear the patterns this combination hits.
       val hit = idx.hitsOf(combo, filter)
@@ -44,55 +56,59 @@ object GreedyHitter {
     Result(out.result(), explored)
   }
 
-  /** One invocation of Algorithm 4 over the whole tree. */
+  /** Algorithm 4 over the whole tree, reusable across rounds on one index. */
   private final class HitCountSearch(idx: PatternHitIndex, cards: IndexedSeq[Int]) {
     private val d = cards.length
     var nodes  = 0L
-    private var bestCount = 0
-    private var bestCombo: Vector[Int] = _
-    private val prefix = new Array[Int](d)
+    var bestCount = 0
+    private val prefix     = new Array[Int](d)
+    private val bestPrefix = new Array[Int](d)
+    private val filters = Array.tabulate(d)(i => Array.ofDim[Long](cards(i), idx.words))
+    private val counts  = Array.tabulate(d)(i => new Array[Int](cards(i)))
+    private val orders  = Array.tabulate(d)(i => new Array[Int](cards(i)))
 
-    final case class Best(count: Int, combo: Vector[Int])
-
-    def best(filter: Array[Long]): Best = {
+    /** The first combination with the most hits within `filter`. */
+    def best(filter: Array[Long]): Vector[Int] = {
+      nodes = 0L
       bestCount = 0
-      bestCombo = null
       descend(filter, 0)
-      Best(bestCount, if (bestCombo == null) Vector.empty else bestCombo)
+      bestPrefix.toVector
     }
 
     private def descend(filter: Array[Long], i: Int): Unit = {
       nodes += 1
-      if (i == d) {
-        val cnt = idx.popcount(filter)
-        if (cnt > bestCount) { bestCount = cnt; bestCombo = prefix.toVector }
-        return
-      }
-      // Compute each child's filter and upper bound, then visit descending.
+      // Only a zero-attribute root is reached as a leaf (d - 1 stops early).
+      if (i == d) { bestCount = idx.popcount(filter); return }
+      // Each child's filter and bound go into depth i's buffers; a stable
+      // insertion sort orders values by descending bound, ties ascending.
       val c = cards(i)
-      val childFilters = new Array[Array[Long]](c)
-      val childCounts  = new Array[Int](c)
+      val fs = filters(i)
+      val count = counts(i)
+      val order = orders(i)
       var v = 0
       while (v < c) {
-        val f = new Array[Long](idx.words)
-        childCounts(v) = idx.andInto(filter, i, v, f)
-        childFilters(v) = f
+        count(v) = idx.andInto(filter, i, v, fs(v))
+        var k = v
+        while (k > 0 && count(order(k - 1)) < count(v)) { order(k) = order(k - 1); k -= 1 }
+        order(k) = v
         v += 1
       }
-      val order = (0 until c).sortBy(v => -childCounts(v))
-      for (v <- order) {
+      var k = 0
+      while (k < c) {
+        val v = order(k)
         // The popcount of the child's filter is an upper bound on what any
         // completion can hit; prune when it cannot beat the incumbent.
         // (At the last level the bound is exact, so > keeps the first
         // maximum and ties break toward lexicographically earlier combos.)
-        if (childCounts(v) > bestCount) {
+        if (count(v) > bestCount) {
           prefix(i) = v
           if (i == d - 1) {
             nodes += 1
-            bestCount = childCounts(v)
-            bestCombo = prefix.toVector
-          } else descend(childFilters(v), i + 1)
+            bestCount = count(v)
+            System.arraycopy(prefix, 0, bestPrefix, 0, d)
+          } else descend(fs(v), i + 1)
         }
+        k += 1
       }
     }
   }

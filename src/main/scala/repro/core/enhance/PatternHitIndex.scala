@@ -27,7 +27,10 @@ final class PatternHitIndex(val patterns: IndexedSeq[Pattern], val cards: Indexe
         if (e == Pattern.X) {
           var v = 0
           while (v < cards(i)) { index(i)(v)(word) |= bit; v += 1 }
-        } else index(i)(e)(word) |= bit
+        } else {
+          require(e >= 0 && e < cards(i), s"pattern $p has value $e on attribute $i of cardinality ${cards(i)}")
+          index(i)(e)(word) |= bit
+        }
       }
     }
   }

@@ -129,6 +129,40 @@ class GreedyHitterSpec extends AnyFunSuite {
     }
   }
 
+  // 475 distinct level-4 patterns over d=9 (cards 2–3) fill eight 64-bit
+  // words, and halving them down to one pattern re-indexes several times.
+  // The picks and node count were recorded from the original GREEDY, which
+  // allocated a fresh filter per child and never re-indexed.
+  test("pinned: exact picks and node count on a multi-word instance that re-indexes") {
+    val rnd   = new Random(9091L)
+    val cards = Vector.fill(9)(2 + rnd.nextInt(2))
+    val pats = Vector.fill(500) {
+      val det = rnd.shuffle((0 until 9).toVector).take(4).toSet
+      Pattern(Vector.tabulate(9)(i => if (det(i)) rnd.nextInt(cards(i)) else Pattern.X))
+    }.distinct
+    assert(cards == Vector(3, 3, 3, 3, 3, 3, 2, 3, 2) && pats.size == 475)
+    val expected = Vector(
+      "001210001", "020022020", "112102100", "020221100", "101000021", "120112011",
+      "202220000", "021102111", "121221020", "210112000", "101001100", "011221111",
+      "200201111", "012122021", "110210010", "221110101", "211200100", "122222110",
+      "122010020", "020212121", "212011011", "112001120", "110121001", "002022101",
+      "220121010", "011102010", "202210101", "000000000", "222201021", "120001111",
+      "022112000", "102202021", "200110020", "012020111", "121122121", "211101010",
+      "100012011", "222200101", "011020020", "021011000", "120202010", "210000101",
+      "102210110", "002101121", "001122001", "110220020", "002110110", "111222000",
+      "210102110", "020010120", "021001000", "120120000", "220211010", "201000100",
+      "001010100", "102020000", "201122000", "002200000", "110010100", "201200020")
+    val res = GreedyHitter.run(pats, cards)
+    assert(res.combos.map(_.mkString) == expected)
+    assert(res.nodesExplored == 55542L)
+    var remaining = pats
+    for (c <- res.combos) {
+      assert(remaining.count(_.matches(c)) == NaiveHitter.maxHitCount(remaining, cards), s"pick $c")
+      remaining = remaining.filterNot(_.matches(c))
+    }
+    assert(remaining.isEmpty)
+  }
+
   // --------------------------------------------------------- end-to-end
 
   // Problem 2 end-to-end, one registered test per randomized configuration:

@@ -48,6 +48,13 @@ class PatternHitIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("a value outside the attribute's domain is rejected, naming pattern, attribute and cardinality") {
+    val e = intercept[IllegalArgumentException] {
+      new PatternHitIndex(Vector(Pattern.parse("X1"), Pattern.parse("2X")), Vector(2, 2))
+    }
+    assert(e.getMessage.contains("2X") && e.getMessage.contains("attribute 0") && e.getMessage.contains("cardinality 2"))
+  }
+
   test("andInto returns the popcount of the intersection") {
     val pats = Vector("0X", "1X", "X0").map(Pattern.parse)
     val idx = new PatternHitIndex(pats, Vector(2, 2))

@@ -61,6 +61,17 @@ class JobsSpec extends SparkSpec {
     for (name <- Seq("deepdriver", "deepdiver", "breaker", "combiner")) assert(e.getMessage.contains(name))
   }
 
+  test("both k=v jobs reject an argument without '=' and quote it") {
+    val mup = intercept[IllegalArgumentException] {
+      MupIdentificationJob.main(Array("dataset=airbnb", "n=2000", "d=6", "tauRate0.005"))
+    }
+    assert(mup.getMessage.contains("'tauRate0.005'"))
+    val enh = intercept[IllegalArgumentException] {
+      CoverageEnhancementJob.main(Array("dataset=airbnb", "n=2000", "d=6", "lambda", "3"))
+    }
+    assert(enh.getMessage.contains("'lambda'"))
+  }
+
   test("jobs reject unknown datasets") {
     intercept[RuntimeException] {
       MupIdentificationJob.main(Array("dataset=nope"))
