@@ -79,6 +79,9 @@ object CompressedData {
     for ((combo, cnt) <- pairs) {
       require(combo.length == cards.length, s"combo arity ${combo.length} != ${cards.length}")
       require(cnt >= 0, s"negative count $cnt")
+      for (i <- combo.indices)
+        require(combo(i) >= 0 && combo(i) < cards(i),
+          s"value ${combo(i)} out of range [0, ${cards(i)}) for attribute $i")
       combos += combo.toArray
       counts += cnt
     }

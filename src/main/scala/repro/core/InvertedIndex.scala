@@ -8,12 +8,15 @@ package repro.core
   * against the per-combo tuple counts.
   *
   * Storage is O(c·d·K/64) longs for K distinct combos; each `cov` call is
-  * O(ℓ(P) · K/64 + |matches|).
+  * O(ℓ(P) · K/64 + |matches|). The ANDs go into one scratch buffer owned by
+  * the index, so an index must not be used from two threads at once.
   */
 final class InvertedIndex(val data: CompressedData) {
   private val dim   = data.dim
   private val k     = data.combos.length
-  private val words = (k + 63) >>> 6
+
+  /** Length in words of every match vector. */
+  val words: Int = (k + 63) >>> 6
 
   /** bits(i)(v) = bit vector (as Long words) over combo indices. */
   private val bits: Array[Array[Array[Long]]] =
@@ -32,23 +35,52 @@ final class InvertedIndex(val data: CompressedData) {
     }
   }
 
-  /** Count of `cov` invocations — benches report this as work done. */
+  private val scratch = new Array[Long](words)
+
+  /** Count of `cov`/`covers` invocations — benches report this as work done. */
   var covCalls: Long = 0L
 
   /** Coverage of pattern `p` (Definition 2) via AND + weighted popcount. */
   def cov(p: Pattern): Long = {
     covCalls += 1
-    // Gather the vectors for the deterministic elements.
+    weight(matching(p.elems), Long.MaxValue)
+  }
+
+  /** Is the pattern with elements `elems` covered, cov >= tau? */
+  def covers(elems: Array[Int], tau: Long): Boolean = {
+    covCalls += 1
+    reaches(matching(elems(_)), tau)
+  }
+
+  /** dst = src AND bits(i)(v), where a null `src` matches every combo; returns dst. */
+  def narrow(dst: Array[Long], src: Array[Long], i: Int, v: Int): Array[Long] = {
+    val vec = bits(i)(v)
+    if (src == null) System.arraycopy(vec, 0, dst, 0, words)
+    else {
+      var w = 0
+      while (w < words) { dst(w) = src(w) & vec(w); w += 1 }
+    }
+    dst
+  }
+
+  /** Do the combos marked in `vec` (null: every combo) hold at least `tau` tuples? */
+  def reaches(vec: Array[Long], tau: Long): Boolean = weight(vec, tau) >= tau
+
+  /** Match vector of the deterministic elements `elem(0 until dim)`: null for
+    * the root, the attribute's own (read-only) vector for one element, else
+    * the AND of them in `scratch`.
+    */
+  private def matching(elem: Int => Int): Array[Long] = {
     var first: Array[Long] = null
     var acc:   Array[Long] = null
     var i = 0
     while (i < dim) {
-      val e = p.elems(i)
+      val e = elem(i)
       if (e != Pattern.X) {
         val vec = bits(i)(e)
         if (first == null) first = vec
         else {
-          if (acc == null) { acc = new Array[Long](words); System.arraycopy(first, 0, acc, 0, words) }
+          if (acc == null) { acc = scratch; System.arraycopy(first, 0, acc, 0, words) }
           var w = 0
           var nonzero = false
           while (w < words) {
@@ -56,18 +88,23 @@ final class InvertedIndex(val data: CompressedData) {
             if (acc(w) != 0L) nonzero = true
             w += 1
           }
-          if (!nonzero) return 0L
+          if (!nonzero) return acc
         }
       }
       i += 1
     }
-    if (first == null) return data.total          // root pattern: everything matches
-    val v = if (acc == null) first else acc
-    // Weighted popcount: sum counts of set combo indices.
+    if (acc == null) first else acc
+  }
+
+  /** Weighted popcount of `vec` (null: every combo): the tuple count of the
+    * marked combos, stopping as soon as it reaches `limit`.
+    */
+  private def weight(vec: Array[Long], limit: Long): Long = {
+    if (vec == null) return data.total
     var sum = 0L
     var w = 0
-    while (w < words) {
-      var word = v(w)
+    while (w < words && sum < limit) {
+      var word = vec(w)
       while (word != 0L) {
         val t = java.lang.Long.numberOfTrailingZeros(word)
         sum += data.counts((w << 6) + t)
@@ -77,7 +114,4 @@ final class InvertedIndex(val data: CompressedData) {
     }
     sum
   }
-
-  /** Convenience: is `p` covered at threshold `tau`? */
-  def isCovered(p: Pattern, tau: Long): Boolean = cov(p) >= tau
 }

@@ -29,6 +29,8 @@ final class MupDominanceIndex(cards: IndexedSeq[Int]) {
   private var acc = new Array[Long](1)
 
   private val mupList = ArrayBuffer.empty[Pattern]
+  /** levels(idx) = ℓ of the idx-th MUP; `acc.length * 64` long. */
+  private var levels = new Array[Int](64)
 
   /** Number of MUPs indexed. */
   def size: Int = mupList.size
@@ -44,9 +46,11 @@ final class MupDominanceIndex(cards: IndexedSeq[Int]) {
     val word = idx >>> 6
     if (word == acc.length) {
       acc = new Array[Long](2 * word)
+      levels = java.util.Arrays.copyOf(levels, 64 * acc.length)
       for (bufs <- vec; s <- bufs.indices) bufs(s) = java.util.Arrays.copyOf(bufs(s), acc.length)
     }
     mupList += p
+    levels(idx) = p.level
     var i = 0
     while (i < dim) {
       val slot = if (p.elems(i) == Pattern.X) cards(i) else p.elems(i)
@@ -67,38 +71,48 @@ final class MupDominanceIndex(cards: IndexedSeq[Int]) {
   /** True iff some indexed MUP is *strictly* dominated by `p`
     * (i.e. p generalizes it and is not equal to it).
     */
-  def dominatesSome(p: Pattern): Boolean = {
+  def dominatesSome(p: Pattern): Boolean = dominatesSome(p.elems.toArray)
+
+  /** [[dominatesSome]] for the pattern with elements `elems` (X as [[Pattern.X]]). */
+  def dominatesSome(elems: Array[Int]): Boolean = {
     val n = resetAcc()
+    var level = 0
     var i = 0
     while (i < dim) {
-      val e = p.elems(i)
+      val e = elems(i)
       if (e != Pattern.X) {
         // a dominated m must have exactly value e at i (an X there would make
         // m strictly more general at i, so p could not generalize it)
         if (!andOne(vec(i)(e), n)) return false
+        level += 1
       }
       i += 1
     }
     // acc marks MUPs generalized by p; exclude p itself (equal pattern).
-    anySetExcluding(p, n)
+    anySetOffLevel(level, n)
   }
 
   /** True iff some indexed MUP *strictly* dominates `p`. */
-  def dominatedBySome(p: Pattern): Boolean = {
+  def dominatedBySome(p: Pattern): Boolean = dominatedBySome(p.elems.toArray)
+
+  /** [[dominatedBySome]] for the pattern with elements `elems` (X as [[Pattern.X]]). */
+  def dominatedBySome(elems: Array[Int]): Boolean = {
     val n = resetAcc()
+    var level = 0
     var i = 0
     while (i < dim) {
-      val e = p.elems(i)
+      val e = elems(i)
       if (e == Pattern.X) {
         // a dominating m must have X at i
         if (!andOne(vec(i)(cards(i)), n)) return false
       } else {
         // m may have X or the same value at i
         if (!andOr(vec(i)(e), vec(i)(cards(i)), n)) return false
+        level += 1
       }
       i += 1
     }
-    anySetExcluding(p, n)
+    anySetOffLevel(level, n)
   }
 
   /** acc &= a over the first n words; returns whether any bit survives. */
@@ -125,15 +139,17 @@ final class MupDominanceIndex(cards: IndexedSeq[Int]) {
     any != 0L
   }
 
-  /** Any bit set in the first n words of acc whose MUP differs from `p`? */
-  private def anySetExcluding(p: Pattern, n: Int): Boolean = {
+  /** Any bit set in the first n words of acc whose MUP is not at `level`?
+    * Every marked MUP generalizes or specializes p, so it equals p exactly
+    * when it has p's level.
+    */
+  private def anySetOffLevel(level: Int, n: Int): Boolean = {
     var w = 0
     while (w < n) {
       var word = acc(w)
       while (word != 0L) {
-        val t   = java.lang.Long.numberOfTrailingZeros(word)
-        val idx = (w << 6) + t
-        if (mupList(idx) != p) return true
+        val t = java.lang.Long.numberOfTrailingZeros(word)
+        if (levels((w << 6) + t) != level) return true
         word &= word - 1
       }
       w += 1

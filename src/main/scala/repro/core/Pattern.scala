@@ -171,3 +171,25 @@ object Pattern {
   def allPatterns(cards: IndexedSeq[Int]): Iterator[Pattern] =
     allCombos(cards.map(_ + 1)).map(v => Pattern(v.map(_ - 1)))
 }
+
+/** Mixed-radix `Long` codes for the `Π (c_i + 1)` patterns over `cards`, the
+  * integer ids of Mannila & Toivonen's level-wise search: digit `i` has radix
+  * `c_i + 1` and holds `e_i + 1`, so `X` is 0 and the root's code is 0.
+  * Setting element `i` from `X` to `v` adds [[step]]`(i, v)` to the code, and
+  * X-ing it again subtracts the same amount, so a search that edits one
+  * pattern array in place can follow its parents and children by arithmetic.
+  *
+  * Construction fails when the codes do not fit a `Long` (e.g. 40 binary
+  * attributes: 3⁴⁰ > 2⁶³), rather than letting distinct patterns collide.
+  */
+final class PatternCodes(cards: IndexedSeq[Int]) {
+  /** Number of patterns, `Π (c_i + 1)`. */
+  val size: BigInt = cards.map(c => BigInt(c + 1)).product
+  require(size <= Long.MaxValue,
+    s"d=${cards.length} attributes span $size patterns (Π(c_i+1)), more than a Long code holds")
+
+  private val stride: Array[Long] = cards.scanLeft(1L)((s, c) => s * (c + 1)).toArray
+
+  /** Code change of setting element `i` from `X` to value `v`. */
+  def step(i: Int, v: Int): Long = (v + 1) * stride(i)
+}

@@ -24,12 +24,15 @@ object SparkCoverage {
     df.groupBy(attrs.map(col): _*).agg(count(lit(1)).as("cnt"))
 
   /** Collect the compressed form into the in-memory search representation.
-    * Values must be integer codes in `[0, c_i)`.
+    * Values must be non-NULL integer codes in `[0, c_i)`.
     */
   def collectCompressed(df: DataFrame, attrs: Seq[String], cards: IndexedSeq[Int]): CompressedData = {
     val rows = compress(df, attrs).collect()
     val pairs = rows.iterator.map { r =>
-      val combo = attrs.indices.map(i => r.getAs[Number](i).intValue()): IndexedSeq[Int]
+      val combo = attrs.indices.map { i =>
+        if (r.isNullAt(i)) throw new IllegalArgumentException(s"NULL value in attribute column '${attrs(i)}'")
+        r.getAs[Number](i).intValue()
+      }: IndexedSeq[Int]
       (combo, r.getAs[Number](attrs.length).longValue())
     }.toVector
     CompressedData.fromAggregated(pairs, cards)

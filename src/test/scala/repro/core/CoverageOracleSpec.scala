@@ -106,4 +106,12 @@ class CoverageOracleSpec extends AnyFunSuite {
     assert(index.cov(Pattern.parse("X0")) == 3L)
     assert(index.cov(Pattern.parse("11")) == 0L)
   }
+
+  test("fromAggregated rejects a value outside [0, c_i), naming value, attribute and cardinality") {
+    for (bad <- Seq(Vector(0, 2), Vector(0, -1))) {
+      val err = intercept[IllegalArgumentException](
+        CompressedData.fromAggregated(Seq((Vector(1, 0), 4L), (bad, 3L)), Vector(2, 2)))
+      assert(err.getMessage.contains(s"value ${bad(1)} out of range [0, 2) for attribute 1"), err.getMessage)
+    }
+  }
 }

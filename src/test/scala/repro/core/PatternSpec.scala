@@ -209,6 +209,22 @@ class PatternSpec extends AnyFunSuite {
     assert(combos.forall(c => c.indices.forall(i => c(i) >= 0 && c(i) < cards(i))))
   }
 
+  test("PatternCodes: root is 0, codes number the patterns 0 until Π(c_i+1), steps move to children") {
+    for (cards <- cardCases) {
+      val codes = new PatternCodes(cards)
+      def code(p: Pattern): Long =
+        p.elems.indices.filter(p.isDet).map(i => codes.step(i, p.elems(i))).sum
+      val all = Pattern.allPatterns(cards).toVector
+      assert(codes.size == all.size)
+      assert(all.map(code).sorted == (0L until all.size.toLong), cards)
+      assert(code(Pattern.root(cards.size)) == 0L)
+      for (p <- all; c <- p.children(cards)) {
+        val i = p.elems.indices.find(j => p.elems(j) != c.elems(j)).get
+        assert(code(c) == code(p) + codes.step(i, c.elems(i)))
+      }
+    }
+  }
+
   test("allPatterns enumerates Π (c_i + 1) distinct patterns") {
     val cards = Vector(2, 2, 2)
     val pats = Pattern.allPatterns(cards).toVector

@@ -255,6 +255,64 @@ class MupAlgorithmsSpec extends AnyFunSuite {
     assert(dd.covCalls <= pb.covCalls, s"DeepDiver ${dd.covCalls} vs PatternBreaker ${pb.covCalls}")
   }
 
+  test("pinned: DEEPDIVER's exact MUPs, nodes visited and coverage calls on a multi-level instance") {
+    // MUPs at levels 2 to 5; the counts were recorded from the Pattern-memo
+    // implementation, whose visit order and memo misses the search keeps.
+    val rnd   = new Random(4242L)
+    val cards = Vector(3, 2, 4, 2, 3)
+    val rows  = Vector.fill(60)(Vector.tabulate(cards.size)(i => rnd.nextInt(cards(i))))
+    val res   = DeepDiver.findMups(dataOf(rows, cards), 2)
+    val expected = Set(
+      "000XX", "0011X", "0020X", "00X11", "00XX0", "011XX", "012XX", "013XX", "01X01", "01X10",
+      "01X11", "0X010", "0X012", "0X0X1", "0X111", "0X1X2", "0X21X", "0X2X0", "0X2X1", "0X30X",
+      "0X3X0", "0X3X1", "0X3X2", "0XX00", "10101", "1020X", "102X2", "103XX", "10X02", "10XX0",
+      "110X1", "1110X", "111X1", "11XX0", "1X00X", "1X0X0", "1X102", "1X2X0", "1X31X", "1X3X0",
+      "1X3X1", "1X3X2", "1XX00", "1XX10", "2000X", "2001X", "201XX", "2031X", "20X10", "20X11",
+      "20XX2", "21010", "212XX", "2X0X1", "2X0X2", "2X112", "2X21X", "2X2X1", "2X2X2", "2X3X0",
+      "2X3X2", "X0001", "X00X0", "X00X2", "X0102", "X0202", "X02X1", "X0311", "X03X0", "X03X2",
+      "X1001", "X1002", "X1011", "X1111", "X121X", "X12X0", "X130X", "X1310", "X13X2", "XX1X0",
+      "XX201", "XX210", "XX212", "XX300", "XX302",
+    ).map(Pattern.parse)
+    assert(res.mups == expected)
+    assert(res.levelHistogram == Map(2 -> 1, 3 -> 51, 4 -> 31, 5 -> 2))
+    assert(res.nodesVisited == 574L)
+    assert(res.covCalls == 426L)
+  }
+
+  // DEEPDIVER against the naïve search over level caps and thresholds,
+  // including d=1, attributes of cardinality 1 and an uncovered root.
+  {
+    val rnd = new Random(4711L)
+    for (trial <- 0 until 16) {
+      val cards = trial match {
+        case 0 => Vector(4)
+        case 1 => Vector(1, 3, 2)
+        case 2 => Vector(2, 1)
+        case _ => Vector.fill(1 + rnd.nextInt(4))(1 + rnd.nextInt(4))
+      }
+      val n    = rnd.nextInt(60)
+      val rows = Vector.fill(n)(Vector.tabulate(cards.size)(i => rnd.nextInt(cards(i))))
+      test(s"DEEPDIVER equals NaiveMup at every level cap and threshold: trial $trial cards=$cards n=$n") {
+        val data = dataOf(rows, cards)
+        for (tau <- Seq(1L, 1L + data.total / 4, data.total + 1); cap <- Seq(0, 1, 2, cards.size)) {
+          val got = DeepDiver.findMups(data, tau, cap).mups
+          assert(got == NaiveMup.findMups(data, tau, cap).mups, s"tau=$tau maxLevel=$cap")
+          if (tau == data.total + 1) assert(got == Set(Pattern.root(cards.size)))
+        }
+      }
+    }
+  }
+
+  test("DEEPDIVER rejects a pattern space too large for Long codes before any work") {
+    val data = dataOf(Seq(Vector.fill(40)(0)), Vector.fill(40)(2))
+    val err  = intercept[IllegalArgumentException](DeepDiver.findMups(data, 1, maxLevel = 1))
+    assert(err.getMessage.contains("d=40"), err.getMessage)
+    assert(err.getMessage.contains("12157665459056928801"), err.getMessage) // 3^40
+    // 3^39 still fits: 39 binary attributes search normally.
+    val fits = DeepDiver.findMups(dataOf(Seq(Vector.fill(39)(0)), Vector.fill(39)(2)), 1, maxLevel = 1)
+    assert(fits.mups == (0 until 39).map(i => Pattern(Vector.fill(39)(Pattern.X).updated(i, 1))).toSet)
+  }
+
   test("MUPs are mutually non-dominating (maximality, any algorithm)") {
     val rnd  = new Random(77L)
     val rows = Vector.fill(25)(Vector.tabulate(4)(i => rnd.nextInt(2)))

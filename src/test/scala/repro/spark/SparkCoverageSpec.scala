@@ -97,6 +97,13 @@ class SparkCoverageSpec extends SparkSpec {
     assert(a.levelHistogram.values.sum == a.mups.size)
   }
 
+  test("collectCompressed rejects a NULL attribute value, naming the column") {
+    val df = spark.createDataFrame(Seq((0, Option(1)), (1, Option.empty[Int]))).toDF("a0", "a1")
+    val err = intercept[IllegalArgumentException](
+      SparkCoverage.collectCompressed(df, Seq("a0", "a1"), Vector(2, 2)))
+    assert(err.getMessage.contains("'a1'"), err.getMessage)
+  }
+
   test("assess agrees with running DeepDiver on collectCompressed") {
     val data = SparkCoverage.collectCompressed(compas, attrs, cards)
     val direct = repro.core.mup.DeepDiver.findMups(data, 10).mups
